@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Experiments: `table1 table2 fig6a fig6b fig7a fig7b fig8 fig8d fig9a
-//! fig9b fig10a fig10b fig10c fig11 fig12 scaling kernel_ab concurrency
-//! maintenance serving_obs chaos all`.
+//! fig9b fig10a fig10b fig10c fig11 fig12 scaling concurrency maintenance
+//! serving_obs chaos all`.
 //!
 //! Flags: `--scale N` divides dataset cardinalities (default 64),
 //! `--queries N` divides query counts (default 10), `--seed N`,
@@ -96,9 +96,6 @@ fn run(exp: &str, cfg: &EvalConfig, perf: &mut PerfReport) {
         "scaling" => {
             perf.intersects_scaling(cfg);
         }
-        "kernel_ab" => {
-            perf.kernel_ab_study(cfg);
-        }
         "concurrency" => {
             perf.concurrency_study(cfg);
         }
@@ -129,7 +126,6 @@ fn run(exp: &str, cfg: &EvalConfig, perf: &mut PerfReport) {
                 "fig11",
                 "fig12",
                 "scaling",
-                "kernel_ab",
                 "concurrency",
                 "maintenance",
                 "serving_obs",

@@ -468,8 +468,10 @@ mod tests {
                 inject("t.leak").unwrap();
             })
         });
-        assert!(!ACTIVE.load(Ordering::SeqCst) || std::env::var("LIBRTS_FAULTS").is_ok());
+        // Under the scope lock no other test's schedule can be live, so
+        // a set flag here can only be this test's leaked schedule.
         let _scope = scope_lock();
+        assert!(!ACTIVE.load(Ordering::SeqCst) || std::env::var("LIBRTS_FAULTS").is_ok());
         assert_eq!(fire("t.leak"), None);
     }
 
@@ -489,13 +491,17 @@ mod tests {
 
     #[test]
     fn stats_accumulate_monotonically() {
-        let before = stats();
-        with_faults(Schedule::new().fail("t.s", 0).slow("t.s", 1, 250), || {
-            let _ = fire("t.s");
-            let _ = fire("t.s");
-            let _ = fire("t.s");
-        });
-        let after = stats();
+        // Both reads happen inside the scope: the counters only move
+        // while a schedule is installed, and the scope lock keeps every
+        // other test's schedule out until this one is done.
+        let (before, after) =
+            with_faults(Schedule::new().fail("t.s", 0).slow("t.s", 1, 250), || {
+                let before = stats();
+                let _ = fire("t.s");
+                let _ = fire("t.s");
+                let _ = fire("t.s");
+                (before, stats())
+            });
         assert_eq!(after.injected_fails - before.injected_fails, 1);
         assert_eq!(after.injected_slow - before.injected_slow, 1);
         assert_eq!(after.slow_virtual_ns - before.slow_virtual_ns, 250);

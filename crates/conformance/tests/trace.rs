@@ -124,6 +124,28 @@ fn trace_payloads_and_explain_are_thread_invariant() {
     assert!(!plan.contains("\"prediction_error\": null"));
 }
 
+/// EXPLAIN and the per-batch trace record report the node pops the
+/// batch's launches actually charged, which are wide (BVH4) pops.
+#[test]
+fn explain_and_trace_report_wide_node_pops() {
+    let _g = lock();
+    obs::trace::enable_queries();
+    let index = RTSIndex::with_rects(&rects(256), IndexOptions::default()).expect("valid rects");
+    let qs = query_boxes(64);
+    let mark = obs::trace::next_query_seq();
+    let h = CountingHandler::new();
+    let report = index.range_query(Predicate::Intersects, &qs, &h);
+    let records = obs::trace::query_records_since(mark);
+    let h = CountingHandler::new();
+    let plan = index.explain_intersects(&qs, &h);
+
+    let wide = report.launch.totals.wide_nodes_visited;
+    assert!(wide > 0, "the batch popped no wide nodes");
+    assert_eq!(records.len(), 1, "one record per batch");
+    assert_eq!(records[0].nodes_visited, wide, "trace record node pops");
+    assert_eq!(plan.nodes_visited, wide, "EXPLAIN node pops");
+}
+
 /// First top-level `"key": <token>` occurrence in a one-line event.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\": ");

@@ -241,7 +241,7 @@ fn finish_batch(
             actual_pairs: results,
             rays: totals.rays,
             is_calls: totals.is_calls,
-            nodes_visited: totals.nodes_visited,
+            nodes_visited: totals.wide_nodes_visited,
             actual_ci: report.max_is_per_thread(),
             device_ns,
         };
@@ -260,7 +260,7 @@ fn finish_batch(
         results,
         rays: totals.rays,
         is_calls: totals.is_calls,
-        nodes_visited: totals.nodes_visited,
+        nodes_visited: totals.wide_nodes_visited,
         max_is_per_thread: report.max_is_per_thread(),
         device_ns,
         wall_ns: wall_start.elapsed().as_nanos() as u64,

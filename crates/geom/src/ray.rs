@@ -178,7 +178,7 @@ impl<C: Coord, const D: usize> Ray<C, D> {
     /// Uses the exact same box inflation as
     /// [`Ray::hits_aabb_conservative`], so the hit/miss verdicts of the
     /// two functions are identical bit for bit — the wide-BVH traversal
-    /// kernel relies on this to order children near-to-far without
+    /// relies on this to order children near-to-far without
     /// changing which subtrees are visited.
     #[inline]
     pub fn entry_t_conservative(&self, r: &Rect<C, D>) -> Option<C> {

@@ -259,9 +259,9 @@ impl<C: Coord, const D: usize> Rect<C, D> {
     ///
     /// This is the *exact* inflation applied by
     /// [`crate::Ray::entry_t_conservative`] — the wide-BVH traversal
-    /// kernel bakes it into its stored slot bounds at collapse/refit
-    /// time so its inner loop runs the plain slab test, and the
-    /// hit/miss verdicts stay bit-identical across kernels.
+    /// bakes it into its stored slot bounds at collapse/refit time so
+    /// its inner loop runs the plain slab test, and the hit/miss
+    /// verdicts stay bit-identical to the binary walk's.
     #[inline]
     pub fn inflated_conservative(&self) -> Self {
         let scale = C::from_f64(64.0) * C::EPSILON;

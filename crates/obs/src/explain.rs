@@ -78,7 +78,7 @@ pub struct QueryPlan {
     pub rays: u64,
     /// IS invocations across all phases.
     pub is_calls: u64,
-    /// BVH nodes visited across all phases.
+    /// Wide (BVH4) nodes popped across all phases.
     pub nodes_visited: u64,
     /// Measured `C_I`: max IS invocations on any single ray.
     pub actual_ci: u64,

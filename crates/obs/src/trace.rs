@@ -124,7 +124,7 @@ pub struct QueryTrace {
     pub rays: u64,
     /// Intersection-shader invocations across all phases.
     pub is_calls: u64,
-    /// BVH nodes visited across all phases.
+    /// Wide (BVH4) nodes popped across all phases.
     pub nodes_visited: u64,
     /// Maximum IS invocations on any single ray (the measured `C_I`).
     pub max_is_per_thread: u64,

@@ -295,7 +295,7 @@ impl<C: Coord> Bvh<C> {
 /// pooled `Vec` whose capacity is reused across rays and launches
 /// ([`crate::scratch`]), so even the spilling path allocates at most
 /// once per worker thread. Shared by the binary and wide (BVH4)
-/// traversal kernels. Invariant: `spill` is non-empty only while the
+/// walks. Invariant: `spill` is non-empty only while the
 /// inline segment is full, so popping `spill` first preserves LIFO
 /// order.
 pub(crate) struct TraversalStack {

@@ -11,15 +11,15 @@
 //! per coordinate, four slots per node), and descends near-to-far by
 //! clipped ray-entry parameter.
 //!
-//! ## Equivalence to the binary kernel
+//! ## Equivalence to the binary walk
 //!
 //! A wide slot carries the *conservatively inflated* bounds of the
 //! binary node it was collapsed from — the exact box the binary
-//! kernel's per-node [`Ray::hits_aabb_conservative`] test inflates on
-//! the fly — so a subtree is culled by the wide kernel iff the binary
-//! kernel culls it, and inflation monotonicity (a child's inflated box
+//! walk's per-node [`Ray::hits_aabb_conservative`] test inflates on
+//! the fly — so a subtree is culled by the wide walk iff the binary
+//! walk culls it, and inflation monotonicity (a child's inflated box
 //! is contained in its parent's) carries the argument down. The wide
-//! kernel therefore enumerates exactly the same primitive set, makes
+//! walk therefore enumerates exactly the same primitive set, makes
 //! the same IS calls, and performs the same number of primitive box
 //! tests — only the *node* work changes shape, which is why
 //! [`RayStats`] splits `wide_nodes_visited`/`wide_prim_tests` from the
@@ -44,7 +44,7 @@ const EMPTY: u32 = u32::MAX;
 /// ([`Rect::inflated_conservative`]), not the raw binary-node bounds:
 /// inflation is a pure per-box function, so baking it in at
 /// collapse/refit time lets the traversal inner loop run the plain slab
-/// test while keeping its verdicts bit-identical to the binary kernel's
+/// test while keeping its verdicts bit-identical to the binary walk's
 /// per-test [`Ray::hits_aabb_conservative`].
 #[derive(Clone, Debug)]
 pub struct Bvh4<C: Coord> {
@@ -202,7 +202,7 @@ impl<C: Coord> Bvh4<C> {
     /// near-to-far by clipped entry parameter (ties broken by slot, so
     /// the order is deterministic). Counters: one `wide_nodes_visited`
     /// per node popped, one `wide_prim_tests` per primitive box test —
-    /// the wide analogue of the binary kernel's
+    /// the wide analogue of the binary walk's
     /// `nodes_visited`/`prim_tests`. The set of `on_prim` invocations
     /// is identical to [`Bvh::traverse`]'s (see the module docs); only
     /// their order may differ.
@@ -212,7 +212,7 @@ impl<C: Coord> Bvh4<C> {
     /// computed once up front ([`SlabRay`]); combined with the
     /// pre-inflated slot lanes this leaves only subtract/multiply/
     /// compare work in the four-wide inner loop, which is where the
-    /// wide kernel's wall-clock win over the binary kernel comes from
+    /// wide walk's wall-clock win over the binary walk comes from
     /// (the pop count alone would not buy it: four slots per pop does
     /// roughly the same number of box tests).
     pub fn traverse<F>(
@@ -386,9 +386,9 @@ impl<C: Coord> Bvh4<C> {
 /// [`SlabRay::entry_t`] evaluates exactly the expressions of
 /// [`Ray::entry_t`] with the same reciprocal values, so its verdict and
 /// returned parameter are bit-identical — including the NaN behaviour
-/// of near-degenerate directions — which is what keeps the wide kernel
-/// result-equal to the binary one (pinned by the conformance
-/// `kernel_equivalence` tier).
+/// of near-degenerate directions — which is what keeps the wide walk
+/// result-equal to the binary one (pinned by `tests/proptest_bvh.rs`
+/// and the launch unit tests).
 struct SlabRay<C: Coord> {
     origin: [C; 3],
     inv: [C; 3],
@@ -567,15 +567,15 @@ mod tests {
         assert_eq!(s.wide_prim_tests, 1);
         assert_eq!(
             s.nodes_visited, 0,
-            "wide kernel must not touch binary counters"
+            "wide walk must not touch binary counters"
         );
     }
 
     #[test]
     fn wide_matches_binary_hit_set_and_prim_tests() {
         // The load-bearing equivalence: for both build qualities and a
-        // spread of ray shapes, the wide kernel enumerates exactly the
-        // binary kernel's primitive set and performs exactly as many
+        // spread of ray shapes, the wide walk enumerates exactly the
+        // binary walk's primitive set and performs exactly as many
         // primitive box tests (wide_prim_tests == prim_tests).
         for q in [BuildQuality::PreferFastTrace, BuildQuality::PreferFastBuild] {
             for n in [1usize, 3, 4, 5, 17, 300, 1000] {
@@ -620,7 +620,7 @@ mod tests {
 
     #[test]
     fn wide_halves_node_pops_at_scale() {
-        // The perf claim behind the kernel: collapsing two binary levels
+        // The perf claim behind the wide tree: collapsing two binary levels
         // into one wide node roughly halves pops for long rays.
         let bs = boxes(8192);
         let bvh = Bvh::build(&bs, BuildQuality::PreferFastTrace, 4);

@@ -82,8 +82,8 @@ impl std::error::Error for AccelError {}
 pub struct Gas<C: Coord> {
     bvh: Bvh<C>,
     /// Wide traversal form, collapsed deterministically from `bvh` at
-    /// build time and bounds-synced on every refit — the structure the
-    /// default [`Kernel::Bvh4`](crate::Kernel) launch kernel walks.
+    /// build time and bounds-synced on every refit — the structure every
+    /// launch walks.
     wide: Bvh4<C>,
     aabbs: Vec<Rect<C, 3>>,
     options: BuildOptions,
@@ -149,13 +149,14 @@ impl<C: Coord> Gas<C> {
         &self.aabbs
     }
 
-    /// Internal binary BVH (for the binary kernel and inspection).
+    /// Internal binary BVH: the build/refit source of [`Gas::wide`] and
+    /// the reference traversal for tests and inspection.
     #[inline]
     pub fn bvh(&self) -> &Bvh<C> {
         &self.bvh
     }
 
-    /// Internal wide BVH (for the wide kernel and inspection).
+    /// Internal wide BVH: the structure launches walk.
     #[inline]
     pub fn wide(&self) -> &Bvh4<C> {
         &self.wide

@@ -67,7 +67,7 @@ pub(crate) struct InstanceRecord<C: Coord> {
 pub struct Ias<C: Coord> {
     /// BVH over instance world bounds (one "primitive" per instance).
     pub(crate) tlas: Bvh<C>,
-    /// Wide form of the TLAS for the BVH4 kernel, collapsed from `tlas`.
+    /// Wide form of the TLAS that launches walk, collapsed from `tlas`.
     pub(crate) wide_tlas: Bvh4<C>,
     pub(crate) world_bounds: Vec<Rect<C, 3>>,
     pub(crate) records: Vec<InstanceRecord<C>>,

@@ -76,7 +76,6 @@ pub mod bvh4;
 pub mod cache;
 pub mod gas;
 pub mod ias;
-pub mod kernel;
 pub mod launch;
 pub mod program;
 pub mod quality;
@@ -88,7 +87,6 @@ pub use bvh4::Bvh4;
 pub use cache::GasCache;
 pub use gas::{AccelError, BuildOptions, Gas};
 pub use ias::{Ias, Instance};
-pub use kernel::{current_kernel, set_default_kernel, with_kernel, Kernel};
 pub use launch::{Device, TraceSession, Traversable};
 pub use program::{AnyHitResult, ClosestHit, HitContext, IsResult, RtProgram};
 pub use quality::{analyze, QualityReport};

@@ -20,10 +20,13 @@ pub const WARP_SIZE: usize = 32;
 /// Per-ray operation counters, filled during traversal.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RayStats {
-    /// BVH nodes popped and box-tested (internal + leaf), across all
-    /// acceleration-structure levels.
+    /// Binary BVH nodes popped and box-tested (internal + leaf), across
+    /// all acceleration-structure levels. Charged by binary walks
+    /// ([`Bvh::traverse`](crate::Bvh::traverse), the LBVH and quadtree
+    /// baselines); launches charge [`RayStats::wide_nodes_visited`].
     pub nodes_visited: u64,
-    /// Hardware ray–AABB tests against *primitive* boxes.
+    /// Ray–AABB tests against *primitive* boxes issued from binary
+    /// leaves (the binary-walk pair of [`RayStats::nodes_visited`]).
     pub prim_tests: u64,
     /// IS-shader invocations (primitive box test passed; shader runs on
     /// the SM, not the RT core).
@@ -36,14 +39,13 @@ pub struct RayStats {
     pub instance_visits: u64,
     /// Rays cast via `trace` by this launch index.
     pub rays: u64,
-    /// Wide (BVH4) nodes popped by the wide traversal kernel. One wide
-    /// pop box-tests up to four children at once, so this counter is not
-    /// comparable 1:1 with [`RayStats::nodes_visited`] (the binary
-    /// kernel's pops); the cost model prices them separately.
+    /// Wide (BVH4) nodes popped by the launch traversal. One wide pop
+    /// box-tests up to four children at once, so this counter is not
+    /// comparable 1:1 with [`RayStats::nodes_visited`] (binary pops);
+    /// the cost model prices them separately.
     pub wide_nodes_visited: u64,
     /// Hardware ray–AABB tests against primitive boxes issued from wide
-    /// (BVH4) leaves — the wide kernel's analogue of
-    /// [`RayStats::prim_tests`].
+    /// (BVH4) leaves — the wide analogue of [`RayStats::prim_tests`].
     pub wide_prim_tests: u64,
 }
 

@@ -1,12 +1,12 @@
 //! Property tests for the simulated acceleration structures: traversal
-//! completeness, refit soundness, and IAS/GAS equivalence on arbitrary
-//! scenes.
+//! completeness, refit soundness, wide-walk equivalence to the binary
+//! reference traversal, and IAS/GAS equivalence on arbitrary scenes.
 
 use geom::{Point, Ray, Rect};
 use proptest::prelude::*;
 use rtcore::{
-    BuildOptions, BuildQuality, Bvh, Control, Gas, HitContext, Ias, Instance, IsResult, RayStats,
-    RtProgram,
+    BuildOptions, BuildQuality, Bvh, Bvh4, Control, Gas, HitContext, Ias, Instance, IsResult,
+    RayStats, RtProgram,
 };
 use std::sync::Arc;
 
@@ -31,6 +31,40 @@ fn arb_ray() -> impl Strategy<Value = Ray<f32, 3>> {
             };
             Ray::new(Point::xyz(x, y, 0.0), dir, 0.0, tmax)
         })
+}
+
+/// The wide walk launches use must be the binary reference traversal
+/// reshaped: the same primitive set, as many primitive box tests, and
+/// no more node pops.
+fn check_wide_matches_binary(
+    bvh: &Bvh<f32>,
+    wide: &Bvh4<f32>,
+    boxes: &[Rect<f32, 3>],
+    ray: &Ray<f32, 3>,
+) -> TestCaseResult {
+    let mut bin = RayStats::default();
+    let mut bin_prims = vec![];
+    bvh.traverse(ray, boxes, &mut bin, |p, _| {
+        bin_prims.push(p);
+        Control::Continue
+    });
+    let mut w = RayStats::default();
+    let mut wide_prims = vec![];
+    wide.traverse(ray, boxes, &mut w, |p, _| {
+        wide_prims.push(p);
+        Control::Continue
+    });
+    bin_prims.sort_unstable();
+    wide_prims.sort_unstable();
+    prop_assert_eq!(wide_prims, bin_prims);
+    prop_assert_eq!(w.wide_prim_tests, bin.prim_tests);
+    prop_assert!(
+        w.wide_nodes_visited <= bin.nodes_visited,
+        "wide pops {} exceed binary pops {}",
+        w.wide_nodes_visited,
+        bin.nodes_visited
+    );
+    Ok(())
 }
 
 proptest! {
@@ -70,6 +104,9 @@ proptest! {
                 "reported prim {g} fails even the conservative test"
             );
         }
+        let wide = Bvh4::collapse(&bvh);
+        wide.validate(&bvh).unwrap();
+        check_wide_matches_binary(&bvh, &wide, &boxes, &ray)?;
     }
 
     /// After refitting to arbitrary new coordinates, the BVH is still
@@ -86,8 +123,14 @@ proptest! {
         new_boxes[..n].copy_from_slice(&moved[..n]);
 
         let mut bvh = Bvh::build(boxes, BuildQuality::PreferFastTrace, 4);
+        let mut wide = Bvh4::collapse(&bvh);
         bvh.refit(&new_boxes);
         bvh.validate(&new_boxes).unwrap();
+        // The wide tree keeps its topology and re-syncs its bounds, as
+        // `Gas::refit` does.
+        wide.refit_from(&bvh);
+        wide.validate(&bvh).unwrap();
+        check_wide_matches_binary(&bvh, &wide, &new_boxes, &ray)?;
 
         let mut got = vec![];
         bvh.traverse(&ray, &new_boxes, &mut RayStats::default(), |p, _| {

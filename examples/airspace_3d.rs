@@ -48,7 +48,7 @@ fn main() {
          {} BVH nodes visited, simulated device time {:?}",
         h.count(),
         drones.len(),
-        report.launch.totals.nodes_visited,
+        report.launch.totals.wide_nodes_visited,
         report.device_time()
     );
 

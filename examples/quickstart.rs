@@ -67,7 +67,7 @@ fn main() {
     println!(
         "query cast {} rays, visited {} BVH nodes, simulated device time {:?}",
         report.launch.totals.rays,
-        report.launch.totals.nodes_visited,
+        report.launch.totals.wide_nodes_visited,
         report.device_time()
     );
     println!("results: {:?}", collector.into_sorted_vec());
